@@ -14,9 +14,10 @@ Two attachment modes (Section 4.2):
   addition to computing the estimate of the cardinality of the output of
   the join, we also build a histogram storing the frequency distribution of
   the output." Here the chain estimator streams
-  ``(group value, #output rows)`` pairs per probe tuple, which feed the same
-  hybrid estimator with weighted increments; the |T| it scales to is the
-  chain's own (converging) output-cardinality estimate.
+  ``(group value, #output rows)`` pairs per probe tuple (one
+  ``(values, weights)`` batch per probe batch under batched execution),
+  which feed the same hybrid estimator with weighted increments; the |T| it
+  scales to is the chain's own (converging) output-cardinality estimate.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def attach_pushed_down_group_estimator(
         record_every=record_every,
         **hybrid_kwargs,
     )
-    chain.add_output_listener(group_column, hybrid.observe)
+    chain.add_output_listener(group_column, hybrid.observe, hybrid.observe_batch)
 
     top = chain.chain[-1]
 

@@ -42,7 +42,9 @@ threshold τ (=10 in the paper): γ² < τ selects MLE, otherwise GEE.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from repro.common.stats import IncrementalFrequencyStats
@@ -87,28 +89,43 @@ class GroupFrequencyState:
         else:
             moments.observe_transition(old, old + weight)
 
-    def observe_batch(self, values: Sequence[object]) -> None:
-        """Counter-aggregated unit observations (one per value).
+    def observe_batch(
+        self, values: Sequence[object], weights: Sequence[int] | None = None
+    ) -> None:
+        """Aggregated observations: one per value, weighted by ``weights``
+        (unit weights when None).
 
         One histogram update and one moment transition per *distinct*
         value: the weighted transition ``old -> old + w`` nets the same
-        num_groups / Σf / Σf² deltas as the w unit steps, and everything is
-        integer arithmetic, so the end state is identical to calling
-        :meth:`observe` once per value. None is a legitimate group key here
-        (NULL groups aggregate), unlike in the join histograms.
+        num_groups / Σf / Σf² deltas as the w unit steps (or as the
+        per-value weighted steps), and everything is integer arithmetic, so
+        the end state is identical to calling :meth:`observe` once per
+        value. None is a legitimate group key here (NULL groups aggregate),
+        unlike in the join histograms.
         """
+        if weights is None:
+            agg: dict[object, int] = Counter(values)
+            added = len(values)
+        else:
+            agg = {}
+            get = agg.get
+            for value, weight in zip(values, weights):
+                agg[value] = get(value, 0) + weight
+            added = sum(weights)
         moments = self.moments
         add = self.histogram.add
         new_groups = 0
         sq_delta = 0
-        for value, weight in Counter(values).items():
+        for value, weight in agg.items():
+            if not weight:
+                continue
             old = add(value, weight)
             if old == 0:
                 new_groups += 1
             new = old + weight
             sq_delta += new * new - old * old
         moments.num_groups += new_groups
-        moments.sum_freq += len(values)
+        moments.sum_freq += added
         moments.sum_freq_sq += sq_delta
 
     @property
@@ -213,10 +230,12 @@ class RecomputeScheduler:
         return t > 0 and t % self.interval == 0
 
     def after_recompute(self, old_estimate: float, new_estimate: float) -> None:
-        """Adapt the interval given the previous and fresh estimates."""
+        """Adapt the interval given the previous and fresh estimates,
+        within the current bounds (which may have moved since the last
+        adaptation)."""
         self.recompute_count += 1
         if new_estimate > 0 and abs(1.0 - old_estimate / new_estimate) < self.stability:
-            self.interval = min(self.interval * 2, self.upper)
+            self.interval = max(min(self.interval * 2, self.upper), self.lower)
         else:
             self.interval = self.lower
 
@@ -228,6 +247,12 @@ class HybridGroupCountEstimator:
     moment update, and — only when the scheduler says so — one MLE
     recomputation. ``estimate()`` itself is O(1).
 
+    A recomputation fires when the observed count t *crosses* a multiple of
+    the scheduler's interval (as :meth:`repro.executor.engine.TickBus.tick_n`
+    fires its callbacks). For unit-weight observations that is the tuple on
+    which t lands on the multiple; weighted observations (aggregation
+    push-down) can jump over a multiple and still fire once.
+
     Parameters
     ----------
     total:
@@ -236,10 +261,13 @@ class HybridGroupCountEstimator:
         γ² threshold; below it MLE is used, above it GEE (paper: 10).
     lower_fraction / upper_fraction:
         Algorithm 3 interval bounds as fractions of |T| (paper: 0.001 and
-        0.032); resolved lazily against the current total.
+        0.032); resolved lazily against the current total — once at
+        construction and again at every recomputation, so a provider that
+        is still converging (a pushed-down join-output estimate starts at
+        1) does not pin the interval to its first value.
     record_every:
-        If > 0, append ``(t, estimate)`` to ``history`` every that many
-        observed tuples.
+        If > 0, append ``(t, estimate)`` to ``history`` whenever t crosses
+        a multiple of it.
     """
 
     __slots__ = (
@@ -248,6 +276,8 @@ class HybridGroupCountEstimator:
         "mle",
         "tau",
         "_total",
+        "lower_fraction",
+        "upper_fraction",
         "scheduler",
         "_cached_mle",
         "exact",
@@ -273,10 +303,9 @@ class HybridGroupCountEstimator:
         else:
             value = float(total)
             self._total = lambda: value
-        total_now = max(self._total(), 1.0)
-        lower = max(int(total_now * lower_fraction), 1)
-        upper = max(int(total_now * upper_fraction), lower)
-        self.scheduler = RecomputeScheduler(lower, upper, stability)
+        self.lower_fraction = lower_fraction
+        self.upper_fraction = upper_fraction
+        self.scheduler = RecomputeScheduler(*self._bounds(self.total), stability)
         self._cached_mle: float = 0.0
         self.exact: bool = False
         self.record_every = record_every
@@ -286,30 +315,50 @@ class HybridGroupCountEstimator:
     def total(self) -> float:
         return float(self._total())
 
+    def _bounds(self, total: float) -> tuple[int, int]:
+        """Algorithm 3's ``(lower, upper)`` interval bounds for |T| = total."""
+        total = max(total, 1.0)
+        lower = max(int(total * self.lower_fraction), 1)
+        return lower, max(int(total * self.upper_fraction), lower)
+
+    def _recompute(self) -> None:
+        """Rerun the MLE, re-derive the bounds and adapt the interval."""
+        total = self.total
+        old = self._cached_mle
+        self._cached_mle = self.mle.estimate(total)
+        scheduler = self.scheduler
+        scheduler.lower, scheduler.upper = self._bounds(total)
+        scheduler.after_recompute(old, self._cached_mle)
+
     def observe(self, value: object, weight: int = 1) -> None:
         """Feed one (possibly weighted) tuple of the grouping column."""
         state = self.state
+        before = state.histogram.total
         state.observe(value, weight)
-        t = state.histogram.total
-        if t % self.scheduler.interval == 0:
-            old = self._cached_mle
-            self._cached_mle = self.mle.estimate(self.total)
-            self.scheduler.after_recompute(old, self._cached_mle)
-        if self.record_every and t % self.record_every == 0:
-            self.history.append((t, self.estimate()))
+        after = before + weight
+        interval = self.scheduler.interval
+        if after // interval != before // interval:
+            self._recompute()
+        rec = self.record_every
+        if rec and after // rec != before // rec:
+            self.history.append((after, self.estimate()))
 
-    def observe_batch(self, values: Sequence[object]) -> None:
-        """Feed a batch of unit-weight grouping values in one shot.
+    def observe_batch(
+        self, values: Sequence[object], weights: Sequence[int] | None = None
+    ) -> None:
+        """Feed a batch of grouping values (unit weights when ``weights`` is
+        None) in one shot.
 
-        Segments the batch at every recomputation and ``record_every``
-        boundary it jumps over, applying each segment as one aggregated
-        :meth:`GroupFrequencyState.observe_batch` and firing the boundary
-        actions (MLE recompute + scheduler adaptation, history checkpoint)
-        at exactly the t the per-tuple path would — the scheduler's
-        interval adapts after every recompute, so the next boundary is
-        re-derived inside the loop. End state (histogram, moments, cached
-        MLE, scheduler interval, history) is identical to one
-        :meth:`observe` call per value.
+        Segments the batch after every value whose observation crosses a
+        recomputation or ``record_every`` boundary, applying each segment
+        as one aggregated :meth:`GroupFrequencyState.observe_batch` and
+        firing the boundary actions (MLE recompute + scheduler adaptation,
+        history checkpoint) at exactly the t the per-value path would — the
+        scheduler's interval adapts after every recompute, so the next
+        boundary is re-derived inside the loop. End state (histogram,
+        moments, cached MLE, scheduler interval, history) is identical to
+        one :meth:`observe` call per (value, weight) whenever the total
+        provider returns the same values in both.
         """
         n = len(values)
         if not n:
@@ -317,21 +366,31 @@ class HybridGroupCountEstimator:
         state = self.state
         scheduler = self.scheduler
         rec = self.record_every
+        t0 = state.histogram.total
+        # cumulative[j]: weight of values[:j + 1], to find where a weighted
+        # batch crosses a boundary.
+        cumulative = None if weights is None else list(accumulate(weights))
         start = 0
         while start < n:
-            t = state.histogram.total
-            step = scheduler.interval - t % scheduler.interval
+            before = state.histogram.total
+            interval = scheduler.interval
+            target = (before // interval + 1) * interval
             if rec:
-                step = min(step, rec - t % rec)
-            end = min(n, start + step)
-            state.observe_batch(values if not start and end == n else values[start:end])
-            t = state.histogram.total
-            if t % scheduler.interval == 0:
-                old = self._cached_mle
-                self._cached_mle = self.mle.estimate(self.total)
-                scheduler.after_recompute(old, self._cached_mle)
-            if rec and t % rec == 0:
-                self.history.append((t, self.estimate()))
+                target = min(target, (before // rec + 1) * rec)
+            if cumulative is None:
+                end = min(n, start + target - before)
+            else:
+                end = min(n, bisect_left(cumulative, target - t0, start) + 1)
+            whole = not start and end == n
+            state.observe_batch(
+                values if whole else values[start:end],
+                weights if whole or weights is None else weights[start:end],
+            )
+            after = state.histogram.total
+            if after // interval != before // interval:
+                self._recompute()
+            if rec and after // rec != before // rec:
+                self.history.append((after, self.estimate()))
             start = end
 
     def observe_hook(self, key: object, _row: tuple) -> None:

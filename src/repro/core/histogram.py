@@ -8,6 +8,8 @@ This module provides it, together with:
 * optional *frequency-of-frequencies* maintenance (``f_j`` = number of
   values occurring exactly ``j`` times), updated in O(1) per increment —
   the input to the GEE and MLE group-count estimators;
+* the largest count, kept incrementally (counts only grow), so the
+  bound refinement every progress snapshot runs reads it in O(1);
 * the memory accounting of Table 2 — both the paper's PostgreSQL hash-table
   cost model (8 payload bytes/entry plus pointer overhead) and an actual
   measurement of the Python structure.
@@ -44,13 +46,14 @@ class FrequencyHistogram:
         path to a single dict update.
     """
 
-    __slots__ = ("counts", "total", "track_frequencies", "freq_of_freq")
+    __slots__ = ("counts", "total", "track_frequencies", "freq_of_freq", "peak")
 
     def __init__(self, track_frequencies: bool = False):
         self.counts: dict[object, int] = {}
         self.total: int = 0
         self.track_frequencies = track_frequencies
         self.freq_of_freq: dict[int, int] = {}
+        self.peak: int = 0
 
     # -- updates ---------------------------------------------------------------
 
@@ -64,6 +67,8 @@ class FrequencyHistogram:
         new = old + weight
         self.counts[value] = new
         self.total += weight
+        if new > self.peak:
+            self.peak = new
         if self.track_frequencies:
             fof = self.freq_of_freq
             if old:
@@ -100,10 +105,15 @@ class FrequencyHistogram:
         counts = self.counts
         get = counts.get
         added = 0
+        peak = self.peak
         for value, weight in agg.items():
-            counts[value] = get(value, 0) + weight
+            new = get(value, 0) + weight
+            counts[value] = new
             added += weight
+            if new > peak:
+                peak = new
         self.total += added
+        self.peak = peak
 
     # -- queries ------------------------------------------------------------------
 
@@ -143,8 +153,8 @@ class FrequencyHistogram:
         return fof
 
     def max_multiplicity(self) -> int:
-        """Largest count of any single value (0 when empty)."""
-        return max(self.counts.values(), default=0)
+        """Largest count of any single value (0 when empty), in O(1)."""
+        return self.peak
 
     def dot(self, other: "FrequencyHistogram") -> int:
         """Σ_v self[v] * other[v] — the exact equijoin size of the two
@@ -194,7 +204,7 @@ class BucketizedHistogram:
     :class:`FrequencyHistogram` interface the ONCE estimators use.
     """
 
-    __slots__ = ("buckets", "num_buckets", "total")
+    __slots__ = ("buckets", "num_buckets", "total", "peak")
 
     def __init__(self, num_buckets: int = 1024):
         if num_buckets < 1:
@@ -202,14 +212,18 @@ class BucketizedHistogram:
         self.num_buckets = num_buckets
         self.buckets = [0] * num_buckets
         self.total = 0
+        self.peak = 0
 
     def add(self, value: object, weight: int = 1) -> int:
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
         idx = hash(value) % self.num_buckets
         old = self.buckets[idx]
-        self.buckets[idx] = old + weight
+        new = old + weight
+        self.buckets[idx] = new
         self.total += weight
+        if new > self.peak:
+            self.peak = new
         return old
 
     def add_batch(self, values: Iterable[object]) -> None:
@@ -218,19 +232,26 @@ class BucketizedHistogram:
         buckets = self.buckets
         num_buckets = self.num_buckets
         added = 0
+        peak = self.peak
         for value, weight in Counter(values).items():
             if value is None:
                 continue
-            buckets[hash(value) % num_buckets] += weight
+            idx = hash(value) % num_buckets
+            new = buckets[idx] + weight
+            buckets[idx] = new
             added += weight
+            if new > peak:
+                peak = new
         self.total += added
+        self.peak = peak
 
     def count(self, value: object) -> int:
         """Upper bound on the frequency of ``value``."""
         return self.buckets[hash(value) % self.num_buckets]
 
     def max_multiplicity(self) -> int:
-        return max(self.buckets, default=0)
+        """Largest bucket count, in O(1) (kept by the updates)."""
+        return self.peak
 
     @property
     def num_distinct(self) -> int:

@@ -59,6 +59,7 @@ from repro.executor.plan import walk
 __all__ = ["HashJoinChainEstimator", "find_hash_join_chains"]
 
 OutputListener = Callable[[object, int], None]
+OutputBatchListener = Callable[[Sequence[object], Sequence[int]], None]
 
 
 def find_hash_join_chains(root: Operator) -> list[list[HashJoin]]:
@@ -264,7 +265,9 @@ class HashJoinChainEstimator:
         self.record_every = record_every
         self.history: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
         self._intervals = [MeanEstimateInterval() for _ in range(self.k)]
-        self.output_listeners: list[tuple[int, OutputListener]] = []
+        self.output_listeners: list[
+            tuple[int, OutputListener, OutputBatchListener | None]
+        ] = []
 
         # Punctuation wiring runs first: if it fails (no SampleScan), the
         # constructor raises before any operator hooks are attached, so the
@@ -347,41 +350,39 @@ class HashJoinChainEstimator:
         if self.record_every and self.t % self.record_every == 0:
             self.history[0].append((self.t, self.estimate_level(0)))
         if c and self.output_listeners:
-            for col_idx, listener in self.output_listeners:
+            for col_idx, listener, _ in self.output_listeners:
                 listener(row[col_idx], c)
 
     def _on_probe_single_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
         """Batch twin of :meth:`_on_probe_single` (k == 1 fast path).
 
-        Pushed-down aggregation listeners need the per-tuple (value,
+        One Counter over the keys applies the whole batch, split at
+        ``record_every`` boundaries so checkpoints land on the per-tuple t
+        values. Pushed-down aggregation listeners need the per-tuple (value,
         contribution) stream in row order, so with listeners attached the
-        batch degrades to the per-row loop; otherwise one Counter over the
-        keys applies the whole batch, split at ``record_every`` boundaries
-        so checkpoints land on the per-tuple t values.
+        contributions are read per row instead, in one pass, and handed on
+        as one ``(values, weights)`` batch per segment (see :meth:`_emit`).
         """
         if self.frozen:
             return
-        if self.output_listeners:
-            on_row = self._on_probe_single
-            for key, row in zip(keys, rows):
-                on_row(key, row)
-            return
+        apply = self._apply_single_listened if self.output_listeners else self._apply_single_batch
         n = len(keys)
         if not n:
             return
         rec = self.record_every
         if not rec:
-            self._apply_single_batch(keys)
+            apply(keys, rows)
             return
         start = 0
         while start < n:
             end = min(n, start + rec - self.t % rec)
-            self._apply_single_batch(keys if not start and end == n else keys[start:end])
+            whole = not start and end == n
+            apply(keys if whole else keys[start:end], rows if whole else rows[start:end])
             if self.t % rec == 0:
                 self.history[0].append((self.t, self.estimate_level(0)))
             start = end
 
-    def _apply_single_batch(self, keys: Sequence[object]) -> None:
+    def _apply_single_batch(self, keys: Sequence[object], _rows: Sequence[tuple]) -> None:
         get = self.base_hists[0].counts.get
         batch_sum = 0
         batch_sq = 0
@@ -394,6 +395,31 @@ class HashJoinChainEstimator:
         self.t += n
         self.sums[0] += batch_sum
         self._intervals[0].merge_sums(n, batch_sum, batch_sq)
+
+    def _apply_single_listened(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
+        get = self.base_hists[0].counts.get
+        contribs = [get(key, 0) for key in keys]
+        batch_sum = sum(contribs)
+        n = len(keys)
+        self.t += n
+        self.sums[0] += batch_sum
+        self._intervals[0].merge_sums(n, batch_sum, sum(c * c for c in contribs))
+        self._emit(rows, contribs)
+
+    def _emit(self, rows: Sequence[tuple], contribs: Sequence[int]) -> None:
+        """Hand the rows' nonzero ``(group value, contribution)`` pairs to
+        the output listeners in row order: one call per listener with a
+        batch twin, one call per pair otherwise."""
+        weights = [c for c in contribs if c]
+        if not weights:
+            return
+        for col_idx, listener, batch_listener in self.output_listeners:
+            values = [row[col_idx] for row, c in zip(rows, contribs) if c]
+            if batch_listener is not None:
+                batch_listener(values, weights)
+            else:
+                for value, weight in zip(values, weights):
+                    listener(value, weight)
 
     def _make_build_hook(self, m: int):
         base_hist = self.base_hists[m]
@@ -460,7 +486,7 @@ class HashJoinChainEstimator:
             if self.record_every and t % self.record_every == 0:
                 self.history[i].append((t, self.estimate_level(i)))
         if top_contrib and self.output_listeners:
-            for col_idx, listener in self.output_listeners:
+            for col_idx, listener, _ in self.output_listeners:
                 listener(row[col_idx], top_contrib)
 
     def _on_probe_batch(self, keys: Sequence[object], rows: Sequence[tuple]) -> None:
@@ -473,11 +499,6 @@ class HashJoinChainEstimator:
         :meth:`_on_probe_single_batch`.
         """
         if self.frozen:
-            return
-        if self.output_listeners:
-            on_row = self._on_probe
-            for key, row in zip(keys, rows):
-                on_row(key, row)
             return
         n = len(rows)
         if not n:
@@ -501,6 +522,7 @@ class HashJoinChainEstimator:
         n = len(rows)
         sums_delta = [0] * k
         sq_delta = [0] * k
+        listened = bool(self.output_listeners)
         extract = self._combo_extract
         if extract is None:
             # No level reads any C column: every contribution is the empty
@@ -508,9 +530,12 @@ class HashJoinChainEstimator:
             for i in range(k):
                 sums_delta[i] = n
                 sq_delta[i] = n
+            top = [1] * n if listened else None
         else:
             factor_slots = self._level_factor_slots
-            for combo, count in Counter(map(extract, rows)).items():
+            combos = list(map(extract, rows)) if listened else map(extract, rows)
+            top_of: dict[tuple, int] = {}
+            for combo, count in Counter(combos).items():
                 for i in range(k):
                     contrib = 1
                     for pos, hist in factor_slots[i]:
@@ -522,10 +547,14 @@ class HashJoinChainEstimator:
                     if contrib:
                         sums_delta[i] += contrib * count
                         sq_delta[i] += contrib * contrib * count
+                top_of[combo] = contrib
+            top = [top_of[combo] for combo in combos] if listened else None
         self.t += n
         for i in range(k):
             self.sums[i] += sums_delta[i]
             self._intervals[i].merge_sums(n, sums_delta[i], sq_delta[i])
+        if top is not None:
+            self._emit(rows, top)
 
     _on_probe_single.batch_hook_name = "_on_probe_single_batch"
     _on_probe.batch_hook_name = "_on_probe_batch"
@@ -584,22 +613,32 @@ class HashJoinChainEstimator:
 
     # -- aggregation push-down ----------------------------------------------------------
 
-    def add_output_listener(self, group_column: str, listener: OutputListener) -> None:
+    def add_output_listener(
+        self,
+        group_column: str,
+        listener: OutputListener,
+        batch_listener: OutputBatchListener | None = None,
+    ) -> None:
         """Register a listener over the chain output's value distribution.
 
         ``listener(value, contribution)`` is invoked per probe tuple with the
         tuple's ``group_column`` value and the number of chain-output rows
-        the tuple generates. Only columns of the base probe stream are
-        supported (the paper's "aggregation on the same attribute as the
-        join" case); anything else raises :class:`EstimationError` and the
-        caller falls back to estimating at the aggregate itself.
+        the tuple generates (tuples generating none are skipped). Under
+        batched execution, ``batch_listener(values, contributions)``
+        receives a probe batch's pairs at once, in row order; without one,
+        ``listener`` is called per pair. Only columns of the base probe
+        stream are supported (the paper's "aggregation on the same attribute
+        as the join" case); anything else raises :class:`EstimationError`
+        and the caller falls back to estimating at the aggregate itself.
         """
         if not self._c_schema.has_column(group_column):
             raise EstimationError(
                 f"group column {group_column!r} is not part of the chain's "
                 "base probe stream; aggregation push-down unsupported"
             )
-        self.output_listeners.append((self._c_schema.index_of(group_column), listener))
+        self.output_listeners.append(
+            (self._c_schema.index_of(group_column), listener, batch_listener)
+        )
 
     @property
     def max_build_multiplicity(self) -> dict[int, float]:

@@ -119,3 +119,52 @@ class TestPushDown:
         estimate = attach_pushed_down_group_estimator(agg, chain)
         ExecutionEngine(agg, collect_rows=False).run()
         assert estimate.hybrid.total == pytest.approx(join.tuples_emitted)
+
+    @pytest.mark.parametrize("batch_size", [None, 1024], ids=["row", "batch-1024"])
+    def test_recompute_schedule_sized_to_join_output(self, batch_size):
+        """The pushed-down total is 1 before the build; the Algorithm 3
+        bounds must follow the chain's estimate once the probe pass runs,
+        not stay at 1 and rerun the MLE on every probe tuple."""
+        join, agg, chain = self.make_join_agg()
+        hybrid = attach_pushed_down_group_estimator(agg, chain).hybrid
+        assert (hybrid.scheduler.lower, hybrid.scheduler.upper) == (1, 1)
+        provider = hybrid._total
+        seen: list[float] = []
+
+        def recording_provider() -> float:
+            seen.append(provider())
+            return seen[-1]
+
+        hybrid._total = recording_provider
+        ExecutionEngine(agg, collect_rows=False).run(batch_size=batch_size)
+        scheduler = hybrid.scheduler
+        # Without estimate() calls, the provider is read by recomputes only.
+        assert len(seen) == scheduler.recompute_count
+        assert scheduler.lower == int(seen[-1] * 0.001) > 1
+        assert scheduler.upper == int(seen[-1] * 0.032)
+        # One recompute per probe tuple would be ~2,500 here.
+        assert 10 <= scheduler.recompute_count <= 500
+        assert join.tuples_emitted > 100 * scheduler.recompute_count
+
+    def test_batch_listener_matches_row_mode(self):
+        """Batched probes feed the estimator one (values, weights) batch per
+        probe batch; its observation state and checkpoints match row mode."""
+
+        def run(batch_size):
+            _, agg, chain = self.make_join_agg()
+            hybrid = attach_pushed_down_group_estimator(agg, chain, record_every=5000).hybrid
+            ExecutionEngine(agg, collect_rows=False).run(batch_size=batch_size)
+            state = hybrid.state
+            moments = state.moments
+            return (
+                state.histogram.counts,
+                state.histogram.freq_of_freq,
+                (moments.num_groups, moments.sum_freq, moments.sum_freq_sq),
+                [t for t, _ in hybrid.history],
+                hybrid.estimate(),
+            )
+
+        reference = run(None)
+        assert len(reference[3]) > 10
+        assert run(7) == reference
+        assert run(1024) == reference

@@ -296,9 +296,10 @@ class TestChainBatch:
 
     @pytest.mark.parametrize("batch_size", [7, 1024])
     def test_output_listener_forces_identical_per_row_stream(self, batch_size):
-        """With a push-down listener attached, the batch twin degrades to
-        the per-row loop: the (value, contribution) stream — whose order
-        the pushed-down aggregate depends on — must match exactly."""
+        """With a push-down listener attached (here one without a batch
+        twin, so it is called per pair), the (value, contribution) stream —
+        whose order the pushed-down aggregate depends on — must match row
+        mode exactly."""
         reference, ref_seen = _run_chain(
             _c_keyed_chain, batch_size=None, listener_column="c3.nationkey"
         )

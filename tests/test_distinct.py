@@ -208,3 +208,104 @@ class TestHybrid:
         hybrid = HybridGroupCountEstimator(total=100_000)
         assert hybrid.scheduler.lower == 100    # 0.1%
         assert hybrid.scheduler.upper == 3200   # 3.2%
+
+
+class TestWeightedSchedule:
+    """Recomputations fire when t *crosses* an interval multiple, and the
+    bounds follow the current total at every recomputation."""
+
+    def test_weighted_jump_over_a_multiple_recomputes(self):
+        hybrid = HybridGroupCountEstimator(total=10_000)  # lower = 10
+        hybrid.observe("a", 7)
+        assert hybrid.scheduler.recompute_count == 0
+        hybrid.observe("b", 7)  # 7 -> 14 jumps over 10
+        assert hybrid.scheduler.recompute_count == 1
+
+    def test_zero_weight_never_recomputes(self):
+        hybrid = HybridGroupCountEstimator(total=10_000)
+        hybrid.observe("a", 10)
+        hybrid.observe("a", 0)
+        assert hybrid.scheduler.recompute_count == 1
+
+    def test_history_checkpoints_on_crossings(self):
+        hybrid = HybridGroupCountEstimator(total=1000, record_every=100)
+        for value in range(9):
+            hybrid.observe(value, 60)
+        assert [t for t, _ in hybrid.history] == [120, 240, 300, 420, 540]
+
+    def test_bounds_follow_a_converging_provider(self):
+        total = [1.0]
+        hybrid = HybridGroupCountEstimator(total=lambda: total[0])
+        assert (hybrid.scheduler.lower, hybrid.scheduler.upper) == (1, 1)
+        total[0] = 250_000.0
+        hybrid.observe("a", 3)
+        assert hybrid.scheduler.recompute_count == 1
+        assert hybrid.scheduler.lower == 250     # ⌊0.1%⌋
+        assert hybrid.scheduler.upper == 8000    # ⌊3.2%⌋
+        # The first estimate is never "stable", so the interval restarts
+        # at the new lower bound.
+        assert hybrid.scheduler.interval == 250
+
+    def test_constant_total_keeps_paper_bounds(self):
+        hybrid = HybridGroupCountEstimator(total=100_000)
+        for v in stream(0.5, 500, 20_000):
+            hybrid.observe(v)
+        assert hybrid.scheduler.recompute_count > 0
+        assert (hybrid.scheduler.lower, hybrid.scheduler.upper) == (100, 3200)
+
+
+class TestWeightedBatch:
+    """``observe_batch(values, weights)`` is the push-down listener's batch
+    twin: with a constant total it ends bit-identical to one
+    ``observe(value, weight)`` per pair."""
+
+    @staticmethod
+    def _pairs(seed: int, n: int) -> tuple[list, list[int]]:
+        import random
+
+        rng = random.Random(seed)
+        values = [rng.randrange(400) if rng.random() > 0.02 else None for _ in range(n)]
+        weights = [rng.choice((1, 1, 2, 3, 17, 250)) for _ in range(n)]
+        return values, weights
+
+    @staticmethod
+    def _state(hybrid: HybridGroupCountEstimator) -> tuple:
+        state = hybrid.state
+        moments = state.moments
+        return (
+            state.histogram.counts,
+            state.histogram.freq_of_freq,
+            (moments.num_groups, moments.sum_freq, moments.sum_freq_sq),
+            hybrid._cached_mle,
+            hybrid.scheduler.interval,
+            hybrid.scheduler.recompute_count,
+            hybrid.history,
+            hybrid.estimate(),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_observe(self, seed):
+        import random
+
+        values, weights = self._pairs(seed, 6000)
+        total = float(sum(weights))
+        row = HybridGroupCountEstimator(total=total, record_every=500)
+        batch = HybridGroupCountEstimator(total=total, record_every=500)
+        for value, weight in zip(values, weights):
+            row.observe(value, weight)
+        rng = random.Random(seed + 100)
+        start = 0
+        while start < len(values):
+            end = start + rng.choice((1, 5, 64, 1024))
+            batch.observe_batch(values[start:end], weights[start:end])
+            start = end
+        assert row.scheduler.recompute_count > 10
+        assert self._state(batch) == self._state(row)
+
+    def test_unit_weights_match_unweighted_batch(self):
+        values, _ = self._pairs(9, 3000)
+        plain = HybridGroupCountEstimator(total=3000.0, record_every=64)
+        weighted = HybridGroupCountEstimator(total=3000.0, record_every=64)
+        plain.observe_batch(values)
+        weighted.observe_batch(values, [1] * len(values))
+        assert self._state(weighted) == self._state(plain)

@@ -1,8 +1,29 @@
 """Tests for the exact frequency histogram."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.histogram import FrequencyHistogram
+from repro.core.histogram import BucketizedHistogram, FrequencyHistogram
+
+# Random update sequences: weighted single adds (weight 0 included) and
+# batch adds whose key lists may hold None.
+_keys = st.one_of(st.none(), st.integers(min_value=0, max_value=12))
+_updates = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(min_value=0, max_value=12),
+                  st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("add_batch"), st.lists(_keys, max_size=20)),
+    ),
+    max_size=40,
+)
+
+
+def _apply(hist, update) -> None:
+    if update[0] == "add":
+        hist.add(update[1], update[2])
+    else:
+        hist.add_batch(update[1])
 
 
 class TestBasics:
@@ -50,6 +71,28 @@ class TestBasics:
         assert h.max_multiplicity() == 0
         h.add_many([1, 1, 1, 2])
         assert h.max_multiplicity() == 3
+
+
+class TestIncrementalMaxMultiplicity:
+    """``max_multiplicity`` is kept by the updates, not rescanned; after
+    every step it must equal a full scan of the counts."""
+
+    @pytest.mark.parametrize("track", [False, True], ids=["plain", "fof"])
+    @given(updates=_updates)
+    def test_matches_full_scan(self, track, updates):
+        h = FrequencyHistogram(track_frequencies=track)
+        assert h.max_multiplicity() == 0
+        for update in updates:
+            _apply(h, update)
+            assert h.max_multiplicity() == max(h.counts.values(), default=0)
+
+    @given(updates=_updates)
+    def test_bucketized_matches_full_scan(self, updates):
+        h = BucketizedHistogram(num_buckets=4)
+        assert h.max_multiplicity() == 0
+        for update in updates:
+            _apply(h, update)
+            assert h.max_multiplicity() == max(h.buckets, default=0)
 
 
 class TestFrequencyOfFrequencies:
